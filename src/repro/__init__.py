@@ -63,8 +63,6 @@ from repro.service.dispatch import (
     BackendDispatcher,
     DispatchDecision,
     DispatchPolicy,
-    DocumentShape,
-    measure_shape,
 )
 from repro.service.registry import (
     DEFAULT_REGISTRY,
@@ -148,8 +146,6 @@ __all__ = [
     "BackendDispatcher",
     "DispatchPolicy",
     "DispatchDecision",
-    "DocumentShape",
-    "measure_shape",
     # errors
     "ReproError",
     "DTDError",

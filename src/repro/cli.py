@@ -114,6 +114,50 @@ _ALGORITHMS = ("machine", "kernel", "figure5", "earley")
 _READ_POLICIES = ("primary-first", "round-robin", "least-inflight")
 
 
+#: glibc ``mallopt`` parameter numbers.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+#: Free bytes a serving process lets glibc keep at the top of its heap
+#: (glibc's default trims past 128 KiB), and the size below which an
+#: allocation comes from the heap rather than a fresh mapping.
+_HEAP_HOLD_BYTES = 16 * 1024 * 1024
+
+
+def _hold_freed_heap() -> bool:
+    """Make glibc keep freed memory in a long-running server process.
+
+    By default glibc gives the top of the heap back to the OS whenever
+    more than 128 KiB there is free, and serves large allocations from
+    fresh mappings it unmaps on free.  A request mix whose transient
+    allocations cross those lines pays fresh page faults on every
+    request.  Whether a process lands there depends on where its heap
+    happens to sit; the service benchmark's ``check-repeat`` mix
+    measured about two minor faults per request and a quarter more
+    cache-hit latency when it did.  A serving process reuses that memory
+    on the next request anyway.  Both thresholds are set together:
+    fixing the trim threshold alone switches off glibc's adaptive mmap
+    threshold, which then maps every 128 KiB allocation afresh.
+
+    Returns whether the settings took: ``False`` off glibc, where this
+    is a no-op.
+    """
+    import ctypes
+    import ctypes.util
+
+    try:
+        libc = ctypes.CDLL(ctypes.util.find_library("c") or "libc.so.6")
+        mallopt = libc.mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all(
+        mallopt(parameter, _HEAP_HOLD_BYTES) == 1
+        for parameter in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD)
+    )
+
+
 def _version() -> str:
     """The installed distribution version, or the source tree's fallback."""
     try:
@@ -167,32 +211,24 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    dtd = _load_dtd(args.schema, args.root)
-    document = _load_document(args.document)
-    admission = None
-    served_coarse = False
-    if args.admission != "off":
-        from repro.core.coarse import CoarseChecker
+    from repro.service.pipeline import DispatchPolicy, run_pipeline
 
-        schema = DEFAULT_REGISTRY.get(dtd)
-        admission = CoarseChecker(schema.coarse).check_document(document)
-    if args.admission == "on" and admission is not None and admission.definite:
-        from repro.service.dispatch import BackendDispatcher
-
-        verdict = BackendDispatcher.coarse_verdict(admission)
-        served_coarse = True
-    else:
-        verdict = PVChecker(dtd, algorithm=args.algorithm).check_document(document)
-        if (
-            admission is not None
-            and admission.definite
-            and (admission.outcome == "accept") != verdict.potentially_valid
-        ):
-            print(
-                f"warning: coarse admission said {admission.outcome} but the "
-                f"{args.algorithm} backend disagrees — please report this",
-                file=sys.stderr,
-            )
+    schema = DEFAULT_REGISTRY.get(_load_dtd(args.schema, args.root))
+    dispatched = run_pipeline(
+        schema,
+        Path(args.document).read_text(),
+        DispatchPolicy(admission=args.admission),
+        args.algorithm,
+    )
+    verdict = dispatched.verdict
+    decision = dispatched.decision
+    served_coarse = decision.algorithm == "coarse"
+    if decision.admission_mismatch:
+        print(
+            f"warning: coarse admission said {decision.admission} but the "
+            f"{args.algorithm} backend disagrees — please report this",
+            file=sys.stderr,
+        )
     note = ", coarse admission" if served_coarse else ""
     if verdict.potentially_valid:
         if served_coarse:
@@ -340,6 +376,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if host is None and args.unix is None:
         print("error: --no-tcp requires --unix PATH", file=sys.stderr)
         return USAGE_ERROR
+    _hold_freed_heap()  # this process now lives to serve requests
     shards = args.ring
 
     def shard_store(index: int) -> ArtifactStore | None:

@@ -14,15 +14,20 @@ differential suite pins ``kernel ≡ machine ≡ earley`` — but over the
 dense tables of :mod:`repro.core.tables`:
 
 * a GSS node is an index into parallel lists (``element id``,
-  ``position``, ``parent ids``, ``finishable bit``) instead of an
+  ``position``, ``parent mask``, ``finishable bit``) instead of an
   object; node ``0`` is the shared stack-bottom sentinel;
+* a node's parent set is one ``int`` bitmask over node ids (bit ``0``
+  is the bottom sentinel), so merging two contexts is one OR and the
+  root-ward walk visits each ancestor once, however many frames share
+  it — on wide mixed content, where every inline element embeds every
+  other, a round's targets share most of their parent contexts;
 * a token round intersects one precomputed closure bitmask with one
   match mask and one embed mask per explored frame key — no set
   iteration, no string comparison, no per-checker closure cache;
 * round targets (consumption and continuation nodes) are interned in
   round-local parallel lists; hypothesized *entry* frames are never
   materialized at all — their shared continuation sets are resolved
-  straight into the targets' parent lists when the round freezes
+  straight into the targets' parent masks when the round freezes
   (a machine entry node never becomes anyone's parent, so nothing
   observable is lost);
 * acceptance replaces the machine's path-enumerating DFS with a
@@ -51,8 +56,9 @@ IMPLEMENTATION = "pure"
 #: Pseudo-position "nothing consumed yet" (mirrors ``repro.core.dag.ENTRY``).
 _ENTRY = -1
 
-#: Node id of the shared stack-bottom sentinel.
+#: Node id of the shared stack-bottom sentinel, and its parent-mask bit.
 _BOTTOM = 0
+_BOTTOM_BIT = 1
 
 
 def _compute_emissions(tables, position, sym):
@@ -195,15 +201,13 @@ class KernelMachine:
         # is provably just itself (not finishable, or parented only by the
         # bottom sentinel) and whose closure hypothesizes no insertions
         # for this symbol.  The round is then pure consumption: each match
-        # bit becomes a leaf that *aliases* the frame's (frozen) parent
-        # list, skipping all round-interning machinery.  This is the
-        # common shape for flat, directly-matching content.
+        # bit becomes a leaf sharing the frame's parent mask, skipping all
+        # round-interning machinery.  This is the common shape for flat,
+        # directly-matching content.
         if len(leaves) == 1:
             frame = leaves[0]
             frame_parents = parents[frame]
-            if not fin[frame] or (
-                len(frame_parents) == 1 and frame_parents[0] == _BOTTOM
-            ):
+            if not fin[frame] or frame_parents == _BOTTOM_BIT:
                 element_id = self._elem[frame]
                 tables = elements[element_id]
                 closure = tables.closures[self._pos[frame] + 1]
@@ -243,7 +247,7 @@ class KernelMachine:
             self._elem = [-1, element_id]
             self._pos = [_ENTRY, _ENTRY]
             self._key = [0, element_id << 21]
-            self._parents = [[], [_BOTTOM]]
+            self._parents = [0, _BOTTOM_BIT]
             self._fin = [True, self._root_tables.entry_fin]
         if self._flat_entry:
             self.leaves = [1]
@@ -280,11 +284,11 @@ class KernelMachine:
         Parent bookkeeping is done per exploration *key*, not per frame:
         every frame sharing a key contributes the same way to every target
         that key emits, so each target records the key records that
-        emitted it, and a key's frame set is resolved into one shared
-        parent list exactly once when the round freezes.  This is
-        observably identical to the machine's symmetric frame-by-frame
-        source registration (the invariant both maintain: a target's
-        parents are the union of its emitting keys' frames' parents).
+        emitted it, and a key's frame set is resolved into one parent
+        mask exactly once when the round freezes.  This is observably
+        identical to the machine's symmetric frame-by-frame source
+        registration (the invariant both maintain: a target's parents are
+        the union of its emitting keys' frames' parents).
         """
         elements = self._elements
         elem = self._elem
@@ -301,7 +305,9 @@ class KernelMachine:
         target_records = []
         target_index = {}
         # Entry frames: one per hypothesized missing element this round.
-        # Never materialized — only their continuation sets survive, as
+        # Never materialized — only their continuation sets survive (as a
+        # mask of target indices; shifted by the round's base node id it
+        # is the parent mask the entry contributes), referenced as
         # negative frame refs encoded -(entry_index + 1).  Newly created
         # entries join the exploration stack like any other frame
         # (ordering is free to differ from the machine's eager recursion:
@@ -309,7 +315,7 @@ class KernelMachine:
         entry_conts = []
         entry_index = {}
         entry_packed = []
-        # Per exploration key: [frames, resolved-parents-or-None], or
+        # Per exploration key: [frames, resolved-parent-mask-or-None], or
         # False for a key that emits nothing this round (its frames need
         # no recording).  The positional exploration runs once per key;
         # later frames with the same key only widen the stack contexts.
@@ -318,31 +324,37 @@ class KernelMachine:
         # One worklist drives the whole exploration: surviving leaves, then
         # root-ward finishable ancestors (moving to a parent abandons a
         # frame: its remaining content must be silently completable), plus
-        # hypothesized entry frames pushed as negative refs.  Replays — a
-        # frame whose (element, position) key was already explored — are
-        # the common case and only widen the key's frame set; a fresh key
-        # interns its cached emission lists inline.
+        # hypothesized entry frames pushed as negative refs.  ``pushed``
+        # masks every node already on the worklist (the bottom sentinel
+        # included, so it is never walked): an ancestor shared by many
+        # frames is pushed once.  Replays — a frame whose (element,
+        # position) key was already explored — are the common case and
+        # only widen the key's frame set; a fresh key interns its cached
+        # emission lists inline.
         sym1 = sym + 1
-        explored = bytearray(self._allocated)
         key = self._key
         key_get = key_replay.get
         emissions_get = emissions.get
         ti_get = target_index.get
         ei_get = entry_index.get
         stack = list(self.leaves)
+        pushed = _BOTTOM_BIT
+        for frame in stack:
+            pushed |= 1 << frame
         pop = stack.pop
         push = stack.append
         while stack:
             frame = pop()
             if frame >= 0:
-                if explored[frame]:
-                    continue
-                explored[frame] = 1
                 packed = key[frame]
                 if fin[frame]:
-                    for parent in parents[frame]:
-                        if parent != _BOTTOM:
-                            push(parent)
+                    fresh = parents[frame] & ~pushed
+                    if fresh:
+                        pushed |= fresh
+                        while fresh:
+                            low = fresh & -fresh
+                            fresh ^= low
+                            push(low.bit_length() - 1)
             else:
                 packed = entry_packed[-1 - frame]
             record = key_get(packed)
@@ -391,16 +403,15 @@ class KernelMachine:
                 if eidx is None:
                     entry_index[child] = len(entry_conts)
                     push(-1 - len(entry_conts))
-                    entry_conts.append([tidx])
+                    entry_conts.append(1 << tidx)
                     entry_packed.append(child << 21)
                 else:
-                    conts = entry_conts[eidx]
-                    if tidx not in conts:
-                        conts.append(tidx)
+                    entry_conts[eidx] |= 1 << tidx
 
         # Freeze: materialize targets as global nodes.  Entry refs resolve
         # to their continuation targets' global ids — base + tidx is known
-        # before those nodes exist.
+        # before those nodes exist, so an entry's parent mask is its
+        # target-index mask shifted by base.
         base = self._allocated
         count = len(target_key)
         self._allocated = base + count
@@ -408,28 +419,12 @@ class KernelMachine:
             raise PVError("KernelMachine exceeded its node allocation limit")
 
         def resolve(record):
-            frames = record[0]
-            if len(frames) == 1:
-                ref = frames[0]
+            resolved = 0
+            for ref in record[0]:
                 if ref >= 0:
-                    resolved = parents[ref]
+                    resolved |= parents[ref]
                 else:
-                    resolved = [base + cont for cont in entry_conts[-ref - 1]]
-            else:
-                resolved = []
-                seen = set()
-                for ref in frames:
-                    if ref >= 0:
-                        for parent in parents[ref]:
-                            if parent not in seen:
-                                seen.add(parent)
-                                resolved.append(parent)
-                    else:
-                        for cont in entry_conts[-ref - 1]:
-                            parent = base + cont
-                            if parent not in seen:
-                                seen.add(parent)
-                                resolved.append(parent)
+                    resolved |= entry_conts[-ref - 1] << base
             record[1] = resolved
             return resolved
 
@@ -447,47 +442,21 @@ class KernelMachine:
                 last_elem = element_id
                 fin_mask = elements[element_id].fin_mask
             index = (packed & 0x1FFFFF) - 1
-            records = target_records[tidx]
-            if len(records) == 1:
-                record = records[0]
-                parent_list = record[1]
-                if parent_list is None:
-                    frames = record[0]
-                    if len(frames) == 1:
-                        ref = frames[0]
-                        if ref >= 0:
-                            parent_list = parents[ref]
-                        else:
-                            parent_list = [
-                                base + cont for cont in entry_conts[-1 - ref]
-                            ]
-                        record[1] = parent_list
-                    else:
-                        parent_list = resolve(record)
-            else:
-                parent_list = []
-                parent_seen = set()
-                for record in records:
-                    resolved = record[1]
-                    if resolved is None:
-                        resolved = resolve(record)
-                    for parent in resolved:
-                        if parent not in parent_seen:
-                            parent_seen.add(parent)
-                            parent_list.append(parent)
+            parent_mask = 0
+            for record in target_records[tidx]:
+                resolved = record[1]
+                if resolved is None:
+                    resolved = resolve(record)
+                parent_mask |= resolved
             elem.append(element_id)
             pos.append(index)
             key.append(packed)
-            parents.append(parent_list)
+            parents.append(parent_mask)
             fin.append((fin_mask >> index) & 1)
             if not tkey & 1:
                 new_leaves.append(base + tidx)
                 if refold:
-                    if (
-                        element_id == root_elem
-                        and len(parent_list) == 1
-                        and parent_list[0] == _BOTTOM
-                    ):
+                    if element_id == root_elem and parent_mask == _BOTTOM_BIT:
                         refold_mask |= 1 << index
                     else:
                         refold = False
@@ -515,9 +484,9 @@ class KernelMachine:
 
         Equivalent to the machine's path DFS: a leaf is accepted iff the
         bottom sentinel is reachable through finishable nodes, and any
-        root-ward path is witnessed by a simple one — so plain reverse
-        reachability (linear in GSS size) decides it without the DFS's
-        pathological path enumeration.
+        root-ward path is witnessed by a simple one — so plain
+        reachability over the parent masks (each node visited once)
+        decides it without the DFS's pathological path enumeration.
         """
         if self.rejected_at is not None:
             return False
@@ -527,33 +496,31 @@ class KernelMachine:
             return bool(self._flat_mask & self._root_tables.fin_mask)
         parents = self._parents
         fin = self._fin
-        for leaf in self.leaves:
-            if fin[leaf] and _BOTTOM in parents[leaf]:
-                return True
-        # Slow path: propagate "good" (reaches bottom via finishable
-        # nodes) down the reversed parent edges, restricted to finishable
-        # nodes — only they can extend a closing path.
-        count = self._allocated
-        children = [[] for _ in range(count)]
-        good = bytearray(count)
         stack = []
-        for node in range(1, count):
-            if not fin[node]:
-                continue
-            for parent in parents[node]:
-                if parent == _BOTTOM:
-                    if not good[node]:
-                        good[node] = 1
-                        stack.append(node)
-                else:
-                    children[parent].append(node)
+        for leaf in self.leaves:
+            if fin[leaf]:
+                if parents[leaf] & _BOTTOM_BIT:
+                    return True
+                stack.append(leaf)
+        # Slow path: walk root-ward from the finishable leaves through
+        # finishable ancestors only (only they can extend a closing path)
+        # until some node sits on the bottom sentinel.
+        seen = _BOTTOM_BIT
+        for node in stack:
+            seen |= 1 << node
         while stack:
-            parent = stack.pop()
-            for child in children[parent]:
-                if not good[child]:
-                    good[child] = 1
-                    stack.append(child)
-        return any(good[leaf] for leaf in self.leaves)
+            mask = parents[stack.pop()]
+            if mask & _BOTTOM_BIT:
+                return True
+            fresh = mask & ~seen
+            seen |= fresh
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                node = low.bit_length() - 1
+                if fin[node]:
+                    stack.append(node)
+        return False
 
     # -- string-level conveniences --------------------------------------------
 

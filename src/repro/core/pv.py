@@ -206,18 +206,25 @@ class PVChecker:
             raise DepthBoundExceeded(self.depth)
         return PVVerdict(verdict_ok, tuple(failures), depth_limited=depth_limited)
 
+    @property
+    def fused(self) -> bool:
+        """Whether :meth:`check_text` runs without building a tree: the
+        kernel backend with the fast parser active."""
+        return self.algorithm == "kernel" and parser_backend() == "fast"
+
     def check_text(self, text: str) -> PVVerdict:
         """Problem PV straight from document text.
 
-        On the kernel backend with the fast parser active this is the
-        fused single-pass hot path (:mod:`repro.core.stream`): no tree is
-        materialized, tag names are interned to table ids as they are
-        scanned, and the verdict — failures included — is identical to
-        ``check_document(parse_xml(text))``, as is every well-formedness
-        error.  Every other backend (and ``REPRO_PARSER=reference``)
-        parses and delegates, byte-for-byte the classic pipeline.
+        On the kernel backend with the fast parser active (:attr:`fused`)
+        this is the single-pass hot path (:mod:`repro.core.stream`): no
+        tree is materialized, tag names are interned to table ids as they
+        are scanned, and the verdict — failures included — is identical
+        to ``check_document(parse_xml(text))``, as is every
+        well-formedness error.  Every other backend (and
+        ``REPRO_PARSER=reference``) parses and delegates, byte-for-byte
+        the classic pipeline.
         """
-        if self.algorithm == "kernel" and parser_backend() == "fast":
+        if self.fused:
             # Lazy import: stream sits above pv (it needs the kernel).
             from repro.core.stream import stream_check_document
 

@@ -221,7 +221,7 @@ CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("repro_request_seconds", "histogram", ("op",),
                "End-to-end request latency, by wire op."),
     MetricSpec("repro_phase_seconds", "histogram", ("phase",),
-               "Per-request phase latency: parse, queue, decide, "
+               "Per-request phase latency: parse, queue, admission, "
                "verdict, artifact."),
     MetricSpec("repro_verdict_seconds", "histogram", ("backend",),
                "Verdict computation latency, by resolved backend."),
@@ -267,7 +267,7 @@ CATALOG: tuple[MetricSpec, ...] = (
                "Audit-mode disagreements between a definite coarse "
                "outcome and the full backend verdict."),
     MetricSpec("repro_parse_seconds", "histogram", (),
-               "Document parse latency on the server check path."),
+               "Document tree-parse latency, on routes that build a tree."),
     MetricSpec("repro_verdict_cache_total", "counter", ("outcome",),
                "Verdict cache lookups: hit, miss, evict."),
 )

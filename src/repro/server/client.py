@@ -105,7 +105,11 @@ class ValidationClient:
     def connect_tcp(
         cls, host: str, port: int, timeout: float | None = 30.0
     ) -> "ValidationClient":
-        return cls(socket.create_connection((host, port), timeout=timeout))
+        sock = socket.create_connection((host, port), timeout=timeout)
+        # Requests are small writes answered one line at a time; with
+        # Nagle on, a pipelined check-batch window stalls on delayed ACKs.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return cls(sock)
 
     @classmethod
     def connect_unix(

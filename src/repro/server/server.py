@@ -10,8 +10,10 @@ domain socket.
 
 Execution model
 ---------------
-The event loop owns all registry and schema-resolution state; verdict
-work is CPU-bound and runs off-loop:
+The event loop owns all registry and schema-resolution state, and the
+verdict cache: a repeat document is answered there without leaving the
+loop.  Every other check runs the one verdict pipeline
+(:func:`repro.service.pipeline.run_pipeline`) off-loop:
 
 * ``workers == 0`` — each check runs on a thread (``asyncio.to_thread``).
   The artifact is shared in-process; fine for tests and modest loads.
@@ -51,9 +53,8 @@ from typing import Any
 from repro.config import CheckerConfig, DEFAULT_CONFIG
 from repro.core.classify import classify_dtd
 from repro.core.coarse import encode_coarse
-from repro.core.pv import PVChecker
 from repro.dtd.parser import parse_dtd
-from repro.errors import ReproError
+from repro.errors import ReproError, XmlError
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, Stopwatch
 from repro.obs.promtext import render as render_prometheus
@@ -64,7 +65,12 @@ from repro.server.placement import Member, PlacementView, parse_member
 from repro.server.protocol import ProtocolError, Request
 from repro.service.cache import VerdictCache
 from repro.service.compiled import CompiledSchema
-from repro.service.dispatch import DEFAULT_POLICY, BackendDispatcher, DispatchPolicy
+from repro.service.pipeline import (
+    DEFAULT_POLICY,
+    DispatchPolicy,
+    cache_mode,
+    run_pipeline,
+)
 from repro.service.registry import SchemaRegistry
 from repro.service.store import ArtifactStore, decode_artifact, encode_artifact
 from repro.validity.validator import DTDValidator
@@ -98,8 +104,13 @@ _PROBE_TIMEOUT = 2.0
 #: Configurable per server via ``hot_limit`` / ``serve --hot-limit``.
 HOT_FINGERPRINTS = 32
 
-#: The request phases the server times into ``repro_phase_seconds``.
-_PHASES = ("parse", "queue", "decide", "verdict", "artifact")
+#: The request phases the server times into ``repro_phase_seconds``
+#: (``docs/OBSERVABILITY.md`` defines each).
+_PHASES = ("parse", "queue", "admission", "verdict", "artifact")
+
+#: The pipeline policy for requests that name their backend: admission
+#: and the audit slice belong to ``auto`` traffic only.
+_NAMED_POLICY = DispatchPolicy()
 
 #: Bound on the per-fingerprint request counter; past this the counter is
 #: compacted to its hottest half (exact counts are a prefetch heuristic,
@@ -122,8 +133,8 @@ _SHIPPED_HINT_SIZE = 4096
 class _BoundedCache(OrderedDict):
     """A small LRU mapping: inserting past *maxsize* evicts the oldest.
 
-    The server and its pool workers key derived objects (dispatchers,
-    checkers, validators, artifacts) by schema fingerprint; without a
+    The server and its pool workers key derived objects (validators,
+    artifacts) by schema fingerprint; without a
     bound, every schema ever served would stay pinned in memory and
     defeat the registry's LRU budget.
     """
@@ -205,8 +216,6 @@ class ArtifactMissError(Exception):
 
 _POOL_STORE: ArtifactStore | None = None
 _POOL_SCHEMAS: "_BoundedCache" = _BoundedCache(_POOL_CACHE_SIZE)
-_POOL_DISPATCHERS: "_BoundedCache" = _BoundedCache(_POOL_CACHE_SIZE)
-_POOL_CHECKERS: "_BoundedCache" = _BoundedCache(4 * _POOL_CACHE_SIZE)
 
 
 def _init_pool_worker(store_dir: str | None) -> None:
@@ -228,21 +237,30 @@ def _pool_schema(fingerprint: str, blob: bytes | None) -> CompiledSchema:
     return schema
 
 
-def _dispatched_fields(
-    dispatcher: BackendDispatcher, document: Any, doc_parse: float
+def _check_fields(
+    schema: CompiledSchema,
+    doc_text: str,
+    algorithm: str,
+    policy: DispatchPolicy,
+    sequence: int,
+    config: CheckerConfig,
 ) -> dict[str, Any]:
-    """One ``auto`` dispatch (admission included) as response fields.
+    """One document through the verdict pipeline, as response fields.
 
-    Shared by the in-process thread path and the pool-worker path so the
-    admission stage behaves identically on both; the server counts the
+    Runs on a worker thread or inside a pool worker, so the two execution
+    modes cannot differ.  Step durations travel back as plain floats (no
+    cross-process clock is assumed); the server counts dispatch and
     admission metrics from these fields on its side of the process
     boundary (a pool worker's registry is invisible to scrapers).
     """
-    inner: dict[str, float] = {}
-    dispatched = dispatcher.check_document(document, timings=inner)
+    timings: dict[str, Any] = {}
+    try:
+        dispatched = run_pipeline(
+            schema, doc_text, policy, algorithm, sequence, config, timings
+        )
+    except XmlError as error:
+        return {"error": ("bad-document", str(error))}
     decision = dispatched.decision
-    timings: dict[str, Any] = {"doc_parse": doc_parse}
-    timings.update(inner)
     timings["backend"] = decision.algorithm
     fields: dict[str, Any] = {
         "verdict": protocol.verdict_fields(dispatched.verdict),
@@ -262,45 +280,13 @@ def _pool_check(
     blob: bytes | None,
     doc_text: str,
     algorithm: str,
-    config: CheckerConfig,
     policy: DispatchPolicy,
+    sequence: int,
+    config: CheckerConfig,
 ) -> dict[str, Any]:
-    """Check one document in a pool worker; returns response fields.
-
-    The worker times its own phases with its local clock and ships the
-    *durations* back (floats pickle fine); the server derives queue-wait
-    from its side of the boundary, so no cross-process clock is assumed.
-    """
+    """:func:`_check_fields` in a pool worker, by artifact fingerprint."""
     schema = _pool_schema(fingerprint, blob)
-    parse_watch = Stopwatch()
-    try:
-        document = parse_xml(doc_text)
-    except ReproError as error:
-        return {"error": ("bad-document", str(error))}
-    doc_parse = parse_watch.seconds
-    if algorithm == "auto":
-        dispatcher = _POOL_DISPATCHERS.get(fingerprint)
-        if dispatcher is None:
-            dispatcher = BackendDispatcher(schema, policy=policy, config=config)
-            _POOL_DISPATCHERS[fingerprint] = dispatcher
-        return _dispatched_fields(dispatcher, document, doc_parse)
-    key = (fingerprint, algorithm)
-    checker = _POOL_CHECKERS.get(key)
-    if checker is None:
-        checker = schema.checker(algorithm, config)
-        _POOL_CHECKERS[key] = checker
-    verdict_watch = Stopwatch()
-    verdict = checker.check_document(document)
-    return {
-        "verdict": protocol.verdict_fields(verdict),
-        "algorithm": algorithm,
-        "reason": None,
-        "timings": {
-            "doc_parse": doc_parse,
-            "verdict": verdict_watch.seconds,
-            "backend": algorithm,
-        },
-    }
+    return _check_fields(schema, doc_text, algorithm, policy, sequence, config)
 
 
 class ValidationServer:
@@ -332,19 +318,19 @@ class ValidationServer:
         ``0`` checks on threads in this process; ``N > 0`` uses a process
         pool of that size.
     default_algorithm:
-        Backend when a request names none; ``"auto"`` (the default) routes
-        through the shape dispatcher.
+        Backend when a request names none; ``"auto"`` (the default) serves
+        on the fused kernel (see :mod:`repro.service.pipeline`).
     admission:
         Overrides ``policy.admission`` (``"off"`` / ``"on"`` / ``"audit"``)
-        — the coarse-to-fine pre-filter that runs before any verdict
-        backend on ``auto``-dispatched checks.  The policy (admission
+        — the coarse-to-fine pre-filter that runs before the verdict on
+        ``auto`` checks.  The policy (admission
         mode included) pickles to pool workers, so the stage behaves
         identically on threads and on a process pool.
     verdict_cache:
         Entries in the verdict memo cache (``serve --verdict-cache N``);
         ``0`` (the default) disables it.  Repeat documents — same schema
         fingerprint, same bytes, same effective algorithm — are answered
-        from the cache without parsing, the reply stamped ``"cached":
+        on the event loop without parsing, the reply stamped ``"cached":
         true``; hits, misses and evictions feed
         ``repro_verdict_cache_total``.
     """
@@ -454,9 +440,9 @@ class ValidationServer:
         # Derived-object caches hold compiled artifacts alive; bounding
         # them by the registry's own budget keeps a long-lived server's
         # memory proportional to maxsize, not to every schema ever seen.
-        self._dispatchers: _BoundedCache = _BoundedCache(registry.maxsize)
-        self._checkers: _BoundedCache = _BoundedCache(4 * registry.maxsize)
         self._validators: _BoundedCache = _BoundedCache(registry.maxsize)
+        # Numbers auto checks for the policy's 1-in-N audit slice.
+        self._sequence = 0
         self._text_index: OrderedDict[tuple[str, str | None], str] = OrderedDict()
         self._dispatch_counts: Counter[str] = Counter()
         self._servers: list[asyncio.AbstractServer] = []
@@ -928,29 +914,24 @@ class ValidationServer:
         algorithm: str,
         timings: dict[str, Any] | None = None,
     ) -> dict[str, Any]:
-        """One verdict's raw fields, off-loop (thread or process pool).
+        """One verdict's raw fields: from the cache, else off-loop.
 
-        Brackets the off-loop work with the ``inflight`` gauge (the
-        increments run on the event loop, so no lock is needed): the
-        stats-visible load signal a ``least-inflight`` routing client
-        balances on.  The off-loop wall clock minus the work the worker
-        itself timed is the queue-wait phase — measured on this side of
-        the boundary so process-pool workers need no shared clock.
-
-        When the verdict cache is enabled, it is consulted here — on the
-        event-loop side — so one shared cache fronts both the thread and
-        the process-pool execution modes.  A hit skips parsing and
-        checking entirely and returns a stamped copy of the memoized
-        fields; parse errors are memoized too (they are just as
-        deterministic as verdicts).
+        The verdict cache is consulted here, on the event loop, so a hit
+        pays no thread or process hop and one shared cache fronts both
+        execution modes; parse errors are memoized too (they are just as
+        deterministic as verdicts).  A miss runs the verdict pipeline
+        off-loop, bracketed by the ``inflight`` gauge (the increments run
+        on the event loop, so no lock is needed): the stats-visible load
+        signal a ``least-inflight`` routing client balances on.  The
+        off-loop wall clock minus the work the pipeline itself timed is
+        the queue-wait phase — measured on this side of the boundary so
+        process-pool workers need no shared clock.
         """
+        policy = self.policy if algorithm == "auto" else _NAMED_POLICY
         cache = self._verdict_cache
         key = None
         if cache is not None:
-            mode = (
-                f"auto:{self.policy.admission}" if algorithm == "auto" else algorithm
-            )
-            key = cache.key(schema.fingerprint, doc_text, mode)
+            key = cache.key(schema.fingerprint, doc_text, cache_mode(algorithm, policy))
             hit = cache.get(key)
             if hit is not None:
                 self._m_cache["hit"].inc()
@@ -958,15 +939,19 @@ class ValidationServer:
                 fields["cached"] = True
                 return fields
             self._m_cache["miss"].inc()
+        self._sequence += 1
         self._inflight += 1
         self._g_inflight.set(self._inflight)
         off_loop = Stopwatch()
         try:
             if self._pool is not None:
-                fields = await self._pool_round_trip(schema, doc_text, algorithm)
+                fields = await self._pool_round_trip(
+                    schema, doc_text, algorithm, policy, self._sequence
+                )
             else:
                 fields = await asyncio.to_thread(
-                    self._inline_check, schema, doc_text, algorithm
+                    _check_fields, schema, doc_text, algorithm, policy,
+                    self._sequence, self.config,
                 )
         finally:
             self._inflight -= 1
@@ -976,21 +961,23 @@ class ValidationServer:
             if cache.put(key, stored):
                 self._m_cache["evict"].inc()
         inner = fields.pop("timings", None)
-        if inner is not None and inner.get("doc_parse") is not None:
-            self._m_parse_seconds.observe(inner["doc_parse"])
-        if timings is not None and inner is not None:
+        if inner is None:
+            return fields
+        # A tree was built only off the fused route: that parse is the
+        # document share of the "parse" phase (DTD resolution is the rest).
+        doc_parse = inner.get("parse")
+        if doc_parse is not None:
+            self._m_parse_seconds.observe(doc_parse)
+        if timings is not None:
             worked = sum(
-                inner.get(key) or 0.0
-                for key in ("doc_parse", "admission", "decide", "verdict")
+                inner.get(step) or 0.0 for step in ("parse", "admission", "verdict")
             )
             timings["queue"] = max(0.0, off_loop.seconds - worked)
-            # DTD resolution and document parsing are one "parse" phase.
-            doc_parse = inner.get("doc_parse")
             if doc_parse is not None:
                 timings["parse"] = timings.get("parse", 0.0) + doc_parse
-            for key in ("admission", "decide", "verdict", "backend"):
-                if inner.get(key) is not None:
-                    timings[key] = inner[key]
+            for step in ("admission", "verdict", "backend"):
+                if inner.get(step) is not None:
+                    timings[step] = inner[step]
         return fields
 
     async def _op_check(
@@ -1065,41 +1052,6 @@ class ValidationServer:
         if counter is not None:
             counter.inc()
 
-    def _inline_check(
-        self, schema: CompiledSchema, doc_text: str, algorithm: str
-    ) -> dict[str, Any]:
-        parse_watch = Stopwatch()
-        try:
-            document = parse_xml(doc_text)
-        except ReproError as error:
-            return {"error": ("bad-document", str(error))}
-        doc_parse = parse_watch.seconds
-        if algorithm == "auto":
-            dispatcher = self._dispatchers.get(schema.fingerprint)
-            if dispatcher is None:
-                dispatcher = BackendDispatcher(
-                    schema, policy=self.policy, config=self.config
-                )
-                self._dispatchers[schema.fingerprint] = dispatcher
-            return _dispatched_fields(dispatcher, document, doc_parse)
-        key = (schema.fingerprint, algorithm)
-        checker = self._checkers.get(key)
-        if checker is None:
-            checker = schema.checker(algorithm, self.config)
-            self._checkers[key] = checker
-        verdict_watch = Stopwatch()
-        verdict = checker.check_document(document)
-        return {
-            "verdict": protocol.verdict_fields(verdict),
-            "algorithm": algorithm,
-            "reason": None,
-            "timings": {
-                "doc_parse": doc_parse,
-                "verdict": verdict_watch.seconds,
-                "backend": algorithm,
-            },
-        }
-
     def _make_pool(self) -> ProcessPoolExecutor:
         store_dir = str(self.store.directory) if self.store is not None else None
         return ProcessPoolExecutor(
@@ -1109,7 +1061,12 @@ class ValidationServer:
         )
 
     async def _pool_round_trip(
-        self, schema: CompiledSchema, doc_text: str, algorithm: str
+        self,
+        schema: CompiledSchema,
+        doc_text: str,
+        algorithm: str,
+        policy: DispatchPolicy,
+        sequence: int,
     ) -> dict[str, Any]:
         """Run a check on the pool, shipping the artifact only on a miss.
 
@@ -1136,8 +1093,9 @@ class ValidationServer:
                         blob,
                         doc_text,
                         algorithm,
+                        policy,
+                        sequence,
                         self.config,
-                        self.policy,
                     )
                 except ArtifactMissError:
                     # A different worker picked up the task than the one(s)
@@ -1149,8 +1107,9 @@ class ValidationServer:
                         pickle.dumps(schema, protocol=pickle.HIGHEST_PROTOCOL),
                         doc_text,
                         algorithm,
+                        policy,
+                        sequence,
                         self.config,
-                        self.policy,
                     )
             except BrokenExecutor:
                 if attempt == 2:

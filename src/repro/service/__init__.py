@@ -21,8 +21,12 @@ amortization and the bulk-throughput side:
 * :mod:`repro.service.store` — :class:`ArtifactStore`, the persistent
   on-disk artifact cache (atomic writes, corruption-tolerant loads) that
   backs a registry across process restarts.
-* :mod:`repro.service.dispatch` — :class:`BackendDispatcher`, per-document
-  backend selection by document shape with an auditable decision log.
+* :mod:`repro.service.pipeline` — :func:`run_pipeline`, the one verdict
+  pipeline every surface calls: coarse admission, then the fused
+  kernel (``auto``) or a named backend, with a 1-in-N audit slice.
+* :mod:`repro.service.dispatch` — the backend contract and
+  :class:`BackendDispatcher`, the pipeline bound to one schema with an
+  auditable decision log.
 
 This is the architectural seam scaling work builds on: anything that can
 obtain a :class:`CompiledSchema` — from memory, disk, or a peer — can
@@ -43,9 +47,8 @@ from repro.service.dispatch import (
     DispatchDecision,
     DispatchedVerdict,
     DispatchPolicy,
-    DocumentShape,
-    measure_shape,
 )
+from repro.service.pipeline import run_pipeline
 from repro.service.registry import (
     DEFAULT_REGISTRY,
     RegistryStats,
@@ -79,6 +82,5 @@ __all__ = [
     "DEFAULT_POLICY",
     "DispatchDecision",
     "DispatchedVerdict",
-    "DocumentShape",
-    "measure_shape",
+    "run_pipeline",
 ]

@@ -22,13 +22,14 @@ With ``workers <= 1`` everything runs inline on one shared checker — the
 same code path the differential tests compare against — so worker count
 can never change a verdict, only the wall time.
 
-The coarse-to-fine **admission stage** composes with both paths: with
-``admission="on"`` each document first runs the schema's
-:class:`~repro.core.coarse.CoarseChecker`, definite outcomes are served
-without touching the full backend (``BatchItem.coarse`` is set), and only
-the uncertain middle escalates; with ``"audit"`` the full backend always
-runs and disagreements are flagged per item.  The coarse summary rides
-inside the compiled artifact, so pool workers admit locally for free.
+Every document, inline or in a worker, goes through the one verdict
+pipeline (:func:`repro.service.pipeline.run_pipeline`), so the
+coarse-to-fine **admission stage** composes with both paths: with
+``admission="on"`` definite coarse outcomes are served without touching
+the full backend (``BatchItem.coarse`` is set), and only the uncertain
+middle escalates; with ``"audit"`` the full backend always runs and
+disagreements are flagged per item.  The coarse summary rides inside the
+compiled artifact, so pool workers admit locally for free.
 """
 
 from __future__ import annotations
@@ -41,12 +42,17 @@ from time import perf_counter
 from typing import Iterable, Sequence
 
 from repro.config import CheckerConfig, DEFAULT_CONFIG
-from repro.core.coarse import CoarseChecker
-from repro.core.pv import Algorithm, PVChecker, PVVerdict
+from repro.core.pv import Algorithm, PVVerdict
 from repro.dtd.model import DTD
 from repro.errors import ReproError
 from repro.service.cache import VerdictCache
 from repro.service.compiled import CompiledSchema
+from repro.service.pipeline import (
+    DispatchedVerdict,
+    DispatchPolicy,
+    cache_mode,
+    run_pipeline,
+)
 from repro.service.registry import DEFAULT_REGISTRY, RegistryStats, SchemaRegistry
 from repro.xmlmodel.serialize import to_xml
 from repro.xmlmodel.tree import XmlDocument
@@ -180,111 +186,85 @@ class BatchResult:
 # (index, label, xml_text).  Top-level (module) names so the fork/spawn
 # pickling of the initializer and task function resolves by reference.
 
-_WORKER_CHECKER: PVChecker | None = None
+_WORKER_SCHEMA: CompiledSchema | None = None
 _WORKER_REGISTRY: SchemaRegistry | None = None
-_WORKER_FINGERPRINT: str | None = None
-_WORKER_ADMIT: CoarseChecker | None = None
-_WORKER_ADMISSION: str = "off"
+_WORKER_ALGORITHM: str = "machine"
+_WORKER_POLICY: DispatchPolicy = DispatchPolicy()
+_WORKER_CONFIG: CheckerConfig = DEFAULT_CONFIG
 
 
 def _init_worker(
     schema: CompiledSchema, algorithm: str, config: CheckerConfig, admission: str
 ) -> None:
-    global _WORKER_CHECKER, _WORKER_REGISTRY, _WORKER_FINGERPRINT
-    global _WORKER_ADMIT, _WORKER_ADMISSION
+    global _WORKER_SCHEMA, _WORKER_REGISTRY, _WORKER_ALGORITHM
+    global _WORKER_POLICY, _WORKER_CONFIG
     # A fresh registry (never the fork-inherited process default, whose
     # counters belong to the parent) seeded with the shipped artifact:
     # its statistics then describe exactly this worker's cache traffic.
     _WORKER_REGISTRY = SchemaRegistry()
     _WORKER_REGISTRY.put(schema)
-    _WORKER_FINGERPRINT = schema.fingerprint
-    _WORKER_CHECKER = PVChecker(
-        schema.dtd, config=config, algorithm=algorithm, compiled=schema
-    )
     # The coarse summary travels inside the pickled artifact, so each
     # worker admits locally without recompiling anything.
-    _WORKER_ADMISSION = admission
-    _WORKER_ADMIT = (
-        CoarseChecker(schema.coarse) if admission != "off" else None
-    )
+    _WORKER_SCHEMA = schema
+    _WORKER_ALGORITHM = algorithm
+    _WORKER_POLICY = DispatchPolicy(admission=admission)
+    _WORKER_CONFIG = config
+    schema.checker(algorithm, config)  # fail at pool start, not per item
 
 
 def _check_one(task: tuple[int, str, str]) -> tuple[BatchItem, int, RegistryStats]:
     index, label, text = task
-    assert _WORKER_CHECKER is not None, "pool initializer did not run"
-    assert _WORKER_REGISTRY is not None and _WORKER_FINGERPRINT is not None
+    assert _WORKER_SCHEMA is not None, "pool initializer did not run"
+    assert _WORKER_REGISTRY is not None
     # The per-document cache access, recorded: each task is one lookup of
     # the shipped artifact, so pool-wide hit counts mean "documents
     # answered without recompiling anywhere".
-    _WORKER_REGISTRY.lookup(_WORKER_FINGERPRINT, count=True)
+    _WORKER_REGISTRY.lookup(_WORKER_SCHEMA.fingerprint, count=True)
     item = _check_text(
-        _WORKER_CHECKER, index, label, text,
-        admit=_WORKER_ADMIT, mode=_WORKER_ADMISSION,
+        _WORKER_SCHEMA, _WORKER_ALGORITHM, _WORKER_POLICY, _WORKER_CONFIG,
+        index, label, text,
     )
     return item, os.getpid(), _WORKER_REGISTRY.stats
 
 
 def _check_text(
-    checker: PVChecker,
+    schema: CompiledSchema,
+    algorithm: str,
+    policy: DispatchPolicy,
+    config: CheckerConfig,
     index: int,
     label: str,
     text: str,
-    admit: CoarseChecker | None = None,
-    mode: str = "off",
     cache: VerdictCache | None = None,
 ) -> BatchItem:
-    from repro.service.dispatch import BackendDispatcher
-    from repro.xmlmodel.parser import parse_xml
+    """One document through the verdict pipeline, as a :class:`BatchItem`.
 
-    if admit is None:
-        # The classic (no-admission) path checks straight from text: on
-        # the kernel tier that is the fused single-pass hot path, and a
-        # verdict cache — keyed by schema fingerprint, content digest and
-        # backend — serves repeats without parsing at all.  Parse and
-        # check failures surface identically to the parse-first pipeline.
-        key = None
-        if cache is not None:
-            key = cache.key(checker.compiled.fingerprint, text, checker.algorithm)
-            hit = cache.get(key)
-            if hit is not None:
-                return BatchItem(index=index, label=label, verdict=hit)
+    A verdict cache — keyed by schema fingerprint, content digest and
+    mode — serves repeats without reading the text.  Parse and check
+    failures become item errors, never batch failures.
+    """
+    key = None
+    dispatched: DispatchedVerdict | None = None
+    if cache is not None:
+        key = cache.key(schema.fingerprint, text, cache_mode(algorithm, policy))
+        dispatched = cache.get(key)
+    if dispatched is None:
         try:
-            verdict = checker.check_text(text)
+            dispatched = run_pipeline(schema, text, policy, algorithm, config=config)
         except ReproError as error:
             return BatchItem(
                 index=index, label=label, verdict=None, error=str(error)
             )
         if cache is not None:
-            cache.put(key, verdict)
-        return BatchItem(index=index, label=label, verdict=verdict)
-    try:
-        document = parse_xml(text)
-    except ReproError as error:
-        return BatchItem(index=index, label=label, verdict=None, error=str(error))
-    admission = admit.check_document(document)
-    if mode == "on" and admission is not None and admission.definite:
-        return BatchItem(
-            index=index,
-            label=label,
-            verdict=BackendDispatcher.coarse_verdict(admission),
-            admission=admission.outcome,
-            coarse=True,
-        )
-    try:
-        verdict = checker.check_document(document)
-    except ReproError as error:
-        return BatchItem(index=index, label=label, verdict=None, error=str(error))
-    mismatch = (
-        admission is not None
-        and admission.definite
-        and (admission.outcome == "accept") != verdict.potentially_valid
-    )
+            cache.put(key, dispatched)
+    decision = dispatched.decision
     return BatchItem(
         index=index,
         label=label,
-        verdict=verdict,
-        admission=None if admission is None else admission.outcome,
-        admission_mismatch=mismatch,
+        verdict=dispatched.verdict,
+        admission=decision.admission,
+        coarse=decision.algorithm == "coarse",
+        admission_mismatch=decision.admission_mismatch,
     )
 
 
@@ -309,9 +289,9 @@ class BatchChecker:
         ``"audit"`` (coarse runs and is compared, full verdict served).
     verdict_cache:
         A :class:`VerdictCache` (or a positive int size; ``0``/``None``
-        disables) serving repeat documents in O(1) on the inline
-        no-admission path.  Pool workers never share it — cache state
-        lives in the parent process only.
+        disables) serving repeat documents in O(1) on the inline path.
+        Pool workers never share it — cache state lives in the parent
+        process only.
     """
 
     def __init__(
@@ -326,8 +306,7 @@ class BatchChecker:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if admission not in ("off", "on", "audit"):
-            raise ValueError('admission must be "off", "on", or "audit"')
+        policy = DispatchPolicy(admission=admission)
         if isinstance(schema, DTD):
             schema = (registry or DEFAULT_REGISTRY).get(schema)
         self.schema = schema
@@ -335,6 +314,7 @@ class BatchChecker:
         self.workers = workers
         self.config = config
         self.admission = admission
+        self.policy = policy
         if isinstance(verdict_cache, int):
             verdict_cache = VerdictCache(verdict_cache) if verdict_cache > 0 else None
         self.verdict_cache = verdict_cache
@@ -384,16 +364,11 @@ class BatchChecker:
         worker_stats: tuple[RegistryStats, ...] = ()
         if self.workers == 1 or len(tasks) <= 1:
             used_workers = 1
-            checker = self.schema.checker(self.algorithm, self.config)
-            admit = (
-                CoarseChecker(self.schema.coarse)
-                if self.admission != "off"
-                else None
-            )
-            cache = self.verdict_cache if self.admission == "off" else None
+            self.schema.checker(self.algorithm, self.config)  # fail fast
             items = [
                 _check_text(
-                    checker, *task, admit=admit, mode=self.admission, cache=cache
+                    self.schema, self.algorithm, self.policy, self.config,
+                    *task, cache=self.verdict_cache,
                 )
                 for task in tasks
             ]

@@ -96,6 +96,7 @@ class CompiledSchema:
         "_coarse",
         "_content_cfg",
         "_earley",
+        "_checkers",
     )
 
     def __init__(
@@ -117,6 +118,7 @@ class CompiledSchema:
         self._coarse = coarse
         self._content_cfg = None
         self._earley: EarleyRecognizer | None = None
+        self._checkers: dict = {}
 
     # -- derived members ---------------------------------------------------
 
@@ -163,16 +165,26 @@ class CompiledSchema:
         return self._coarse is not None
 
     def checker(self, algorithm: str = "machine", config=None):
-        """A :class:`~repro.core.pv.PVChecker` backed by this artifact."""
+        """The :class:`~repro.core.pv.PVChecker` backed by this artifact.
+
+        Checkers are immutable, so one per ``(algorithm, config)`` is
+        memoized on the artifact and lives exactly as long as it does.
+        """
         from repro.config import DEFAULT_CONFIG
         from repro.core.pv import PVChecker
 
-        return PVChecker(
-            self.dtd,
-            config=DEFAULT_CONFIG if config is None else config,
-            algorithm=algorithm,  # type: ignore[arg-type]
-            compiled=self,
-        )
+        if config is None:
+            config = DEFAULT_CONFIG
+        checker = self._checkers.get((algorithm, config))
+        if checker is None:
+            checker = PVChecker(
+                self.dtd,
+                config=config,
+                algorithm=algorithm,  # type: ignore[arg-type]
+                compiled=self,
+            )
+            checker = self._checkers.setdefault((algorithm, config), checker)
+        return checker
 
     # -- pickling ----------------------------------------------------------
 
@@ -200,6 +212,7 @@ class CompiledSchema:
         self._coarse = state.get("coarse")
         self._content_cfg = None
         self._earley = None
+        self._checkers = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

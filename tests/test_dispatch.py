@@ -1,4 +1,4 @@
-"""Tests for document-shape measurement and multi-backend dispatch."""
+"""Tests for the dispatcher: ``auto`` on the kernel, audit slice, admission."""
 
 from __future__ import annotations
 
@@ -6,13 +6,12 @@ import pytest
 
 from repro.core.pv import PVChecker
 from repro.dtd.parser import parse_dtd
-from repro.service.dispatch import (
-    BackendDispatcher,
-    DispatchPolicy,
-    measure_shape,
-)
+from repro.service import dispatch
+from repro.service.dispatch import BackendDispatcher, DispatchPolicy
+from repro.service.pipeline import AUTO_REASON, run_pipeline
 from repro.workloads.docgen import DocumentGenerator
 from repro.xmlmodel.parser import parse_xml
+from repro.xmlmodel.serialize import to_xml
 
 FIGURE1 = """
 <!ELEMENT r (a+)>
@@ -28,92 +27,75 @@ FIGURE1 = """
 STRONG = "<!ELEMENT a (a | b*)><!ELEMENT b EMPTY>"
 
 
-class TestMeasureShape:
-    def test_counts_elements_and_depth(self):
-        shape = measure_shape(parse_xml("<r><a><b></b></a><a></a></r>"))
-        assert shape.elements == 4
-        assert shape.depth == 3
-        assert shape.sigma_tokens == 0
-        assert shape.gap_density == 0.0
-
-    def test_gap_density_counts_character_runs(self):
-        # r: [a] — a: [#PCDATA] — so 1 sigma out of 2 content tokens.
-        shape = measure_shape(parse_xml("<r><a>some text</a></r>"))
-        assert shape.content_tokens == 2
-        assert shape.sigma_tokens == 1
-        assert shape.gap_density == 0.5
-
-    def test_empty_document(self):
-        shape = measure_shape(parse_xml("<r></r>"))
-        assert shape.elements == 1
-        assert shape.depth == 1
-        assert shape.gap_density == 0.0
+def decide(dispatcher: BackendDispatcher, text: str):
+    """The decision the dispatcher records for *text*."""
+    dispatched, cached = dispatcher.check_text(text)
+    assert not cached
+    return dispatched.decision
 
 
 class TestPolicyRouting:
-    def test_small_shallow_goes_greedy(self):
-        dispatcher = BackendDispatcher(parse_dtd(FIGURE1))
-        decision = dispatcher.choose(parse_xml("<r><a><e></e></a></r>"))
-        assert decision.algorithm == "figure5"
-        assert "small and shallow" in decision.reason
+    def test_small_shallow_goes_kernel(self):
+        decision = decide(BackendDispatcher(parse_dtd(FIGURE1)), "<r><a><e></e></a></r>")
+        assert decision.algorithm == "kernel"
+        assert decision.reason == AUTO_REASON
 
     def test_gap_heavy_goes_exact(self):
         dispatcher = BackendDispatcher(parse_dtd(FIGURE1))
-        decision = dispatcher.choose(parse_xml("<r><a>plenty of text</a></r>"))
+        decision = decide(dispatcher, "<r><a>plenty of text</a></r>")
         assert decision.algorithm == "kernel"
-        assert "gap-heavy" in decision.reason
 
     def test_large_document_goes_exact(self):
-        dispatcher = BackendDispatcher(
-            parse_dtd(FIGURE1), policy=DispatchPolicy(small_elements=2)
-        )
-        decision = dispatcher.choose(
-            parse_xml("<r><a><e></e></a><a><e></e></a></r>")
-        )
+        dispatcher = BackendDispatcher(parse_dtd(FIGURE1))
+        decision = decide(dispatcher, "<r>" + "<a><e></e></a>" * 100 + "</r>")
         assert decision.algorithm == "kernel"
-        assert decision.reason == "default exact backend (kernel)"
 
     def test_deep_document_goes_exact(self):
-        dispatcher = BackendDispatcher(
-            parse_dtd(FIGURE1), policy=DispatchPolicy(shallow_depth=1)
-        )
-        decision = dispatcher.choose(parse_xml("<r><a><e></e></a></r>"))
+        dispatcher = BackendDispatcher(parse_dtd(STRONG))
+        decision = decide(dispatcher, "<a>" * 40 + "</a>" * 40)
         assert decision.algorithm == "kernel"
 
     def test_pv_strong_always_exact(self):
         dispatcher = BackendDispatcher(parse_dtd(STRONG))
-        decision = dispatcher.choose(parse_xml("<a></a>"))
+        decision = decide(dispatcher, "<a></a>")
         assert decision.algorithm == "kernel"
-        assert "PV-strong" in decision.reason
+        assert "no depth bound" in decision.reason
 
-    def test_exact_backend_is_swappable_to_the_machine(self):
-        """The object-graph reference stays selectable as the exact tier."""
-        dispatcher = BackendDispatcher(
-            parse_dtd(FIGURE1), policy=DispatchPolicy(exact_backend="machine")
-        )
-        decision = dispatcher.choose(parse_xml("<r><a>plenty of text</a></r>"))
-        assert decision.algorithm == "machine"
+    def test_named_backends_stay_selectable(self):
+        schema = BackendDispatcher(parse_dtd(FIGURE1)).schema
+        for algorithm in ("kernel", "machine", "figure5", "earley"):
+            dispatched = run_pipeline(schema, "<r><a>text</a></r>", algorithm=algorithm)
+            assert dispatched.decision.algorithm == algorithm
+            assert dispatched.decision.reason == ""
+            assert dispatched.verdict.potentially_valid
 
     def test_audit_slice_goes_earley(self):
         dispatcher = BackendDispatcher(
             parse_dtd(FIGURE1), policy=DispatchPolicy(audit_every=3)
         )
-        document = parse_xml("<r><a><e></e></a></r>")
-        algorithms = [dispatcher.choose(document).algorithm for _ in range(6)]
-        assert algorithms == [
-            "figure5", "figure5", "earley", "figure5", "figure5", "earley",
+        algorithms = [
+            decide(dispatcher, "<r><a><e></e></a></r>").algorithm for _ in range(6)
         ]
-        assert dispatcher.counts == {"figure5": 4, "earley": 2}
+        assert algorithms == [
+            "kernel", "kernel", "earley", "kernel", "kernel", "earley",
+        ]
+        assert dispatcher.counts == {"kernel": 4, "earley": 2}
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            DispatchPolicy(gap_heavy=1.5)
-        with pytest.raises(ValueError):
             DispatchPolicy(audit_every=-1)
         with pytest.raises(ValueError):
-            DispatchPolicy(small_elements=-1)
-        with pytest.raises(ValueError):
-            DispatchPolicy(exact_backend="earley")
+            DispatchPolicy(admission="sometimes")
+
+    def test_shape_router_is_gone(self):
+        for knob in ("small_elements", "shallow_depth", "gap_heavy", "exact_backend"):
+            with pytest.raises(TypeError):
+                DispatchPolicy(**{knob: 1})
+        assert not hasattr(dispatch, "measure_shape")
+        assert not hasattr(dispatch, "DocumentShape")
+        assert [info.name for info in dispatch.BACKENDS if info.auto] == [
+            "kernel", "earley",
+        ]
 
 
 class TestDispatchedChecking:
@@ -123,29 +105,29 @@ class TestDispatchedChecking:
         direct = PVChecker(dtd)
         generator = DocumentGenerator(dtd, seed=13)
         for document in generator.documents(6, target_nodes=20):
-            outcome = dispatcher.check_document(document)
+            outcome, _cached = dispatcher.check_text(to_xml(document))
             assert bool(outcome) == direct.is_potentially_valid(document)
-            assert outcome.decision.algorithm in (
-                "kernel", "machine", "figure5", "earley",
-            )
+            assert outcome.decision.algorithm == "kernel"
 
     def test_decision_log_is_bounded(self):
         dispatcher = BackendDispatcher(parse_dtd(FIGURE1), log_size=2)
-        document = parse_xml("<r></r>")
         for _ in range(5):
-            dispatcher.choose(document)
+            dispatcher.check_text("<r></r>")
         decisions = dispatcher.decisions
         assert len(decisions) == 2
         assert decisions[-1].sequence == 5  # the log keeps the newest
 
     def test_checkers_share_compiled_artifact(self):
-        dtd = parse_dtd(FIGURE1)
-        dispatcher = BackendDispatcher(dtd)
-        dispatcher.check_document(parse_xml("<r></r>"))
-        dispatcher.check_document(parse_xml("<r><a>text</a></r>"))
-        checkers = list(dispatcher._checkers.values())
-        assert len(checkers) >= 2
-        assert all(c.compiled is dispatcher.schema for c in checkers)
+        dispatcher = BackendDispatcher(
+            parse_dtd(FIGURE1), policy=DispatchPolicy(audit_every=2)
+        )
+        dispatcher.check_text("<r></r>")
+        dispatcher.check_text("<r><a>text</a></r>")
+        schema = dispatcher.schema
+        checkers = [schema.checker("kernel"), schema.checker("earley")]
+        assert all(c.compiled is schema for c in checkers)
+        # One memoized checker per backend: dispatching builds no more.
+        assert schema.checker("kernel") is checkers[0]
 
     def test_log_size_validated(self):
         with pytest.raises(ValueError):
@@ -153,33 +135,31 @@ class TestDispatchedChecking:
 
 
 class TestAuditSliceShadow:
-    """Regression: the audit slice must record the displaced shape choice.
+    """Regression: the audit slice must record the displaced backend.
 
     The audit-log entry used to keep only ``earley`` when the 1-in-N
-    slice fired, losing which backend the shape rules actually picked —
-    exactly the question the log exists to answer.
+    slice fired, losing which backend would have served — exactly the
+    question the log exists to answer.
     """
 
     def test_audit_entries_record_the_shadowed_backend(self):
         dispatcher = BackendDispatcher(
             parse_dtd(FIGURE1), policy=DispatchPolicy(audit_every=3)
         )
-        document = parse_xml("<r><a><e></e></a></r>")
         for _ in range(6):
-            dispatcher.choose(document)
+            dispatcher.check_text("<r><a><e></e></a></r>")
         audited = [d for d in dispatcher.decisions if d.algorithm == "earley"]
         assert len(audited) == 2
         for decision in audited:
-            assert decision.shadowed == "figure5"
-            assert "displaced shape choice figure5" in decision.reason
+            assert decision.shadowed == "kernel"
+            assert "displaced the kernel" in decision.reason
 
     def test_non_audit_entries_have_no_shadow(self):
         dispatcher = BackendDispatcher(
             parse_dtd(FIGURE1), policy=DispatchPolicy(audit_every=3)
         )
-        document = parse_xml("<r><a><e></e></a></r>")
         for _ in range(6):
-            dispatcher.choose(document)
+            dispatcher.check_text("<r><a><e></e></a></r>")
         for decision in dispatcher.decisions:
             if decision.algorithm != "earley":
                 assert decision.shadowed is None
@@ -188,23 +168,23 @@ class TestAuditSliceShadow:
         dispatcher = BackendDispatcher(
             parse_dtd(STRONG), policy=DispatchPolicy(audit_every=1)
         )
-        decision = dispatcher.choose(parse_xml("<a><b></b></a>"))
+        decision = decide(dispatcher, "<a><b></b></a>")
         assert decision.algorithm == "earley"
-        assert decision.shadowed == "kernel"  # PV-strong forces the exact tier
+        assert decision.shadowed == "kernel"  # what auto serves outside the slice
 
 
 class TestAdmissionStage:
     def test_admission_off_never_runs_coarse(self):
         dispatcher = BackendDispatcher(parse_dtd(FIGURE1))
-        outcome = dispatcher.check_document(parse_xml("<r><zz/></r>"))
-        assert outcome.decision.admission is None
-        assert outcome.decision.algorithm != "coarse"
+        decision = decide(dispatcher, "<r><zz/></r>")
+        assert decision.admission is None
+        assert decision.algorithm != "coarse"
 
     def test_admission_on_short_circuits_definite_rejects(self):
         dispatcher = BackendDispatcher(
             parse_dtd(FIGURE1), policy=DispatchPolicy(admission="on")
         )
-        outcome = dispatcher.check_document(parse_xml("<r><zz/></r>"))
+        outcome, _cached = dispatcher.check_text("<r><zz/></r>")
         assert outcome.decision.algorithm == "coarse"
         assert outcome.decision.admission == "reject"
         assert not outcome.verdict.potentially_valid
@@ -215,8 +195,8 @@ class TestAdmissionStage:
         dispatcher = BackendDispatcher(
             parse_dtd(FIGURE1), policy=DispatchPolicy(admission="on")
         )
-        outcome = dispatcher.check_document(parse_xml("<r><a>text</a></r>"))
-        assert outcome.decision.algorithm != "coarse"
+        outcome, _cached = dispatcher.check_text("<r><a>text</a></r>")
+        assert outcome.decision.algorithm == "kernel"
         assert outcome.decision.admission == "uncertain"
         assert outcome.verdict.potentially_valid
 
@@ -224,8 +204,8 @@ class TestAdmissionStage:
         dispatcher = BackendDispatcher(
             parse_dtd(FIGURE1), policy=DispatchPolicy(admission="audit")
         )
-        outcome = dispatcher.check_document(parse_xml("<r><zz/></r>"))
-        assert outcome.decision.algorithm != "coarse"
+        outcome, _cached = dispatcher.check_text("<r><zz/></r>")
+        assert outcome.decision.algorithm == "kernel"
         assert outcome.decision.admission == "reject"
         assert not outcome.decision.admission_mismatch
         assert not outcome.verdict.potentially_valid
@@ -236,7 +216,7 @@ class TestAdmissionStage:
         direct = PVChecker(dtd)
         generator = DocumentGenerator(dtd, seed=29)
         for document in generator.documents(8, target_nodes=20):
-            outcome = dispatcher.check_document(document)
+            outcome, _cached = dispatcher.check_text(to_xml(document))
             assert bool(outcome) == direct.is_potentially_valid(document)
 
     def test_admission_timings_are_reported(self):
@@ -244,10 +224,41 @@ class TestAdmissionStage:
             parse_dtd(FIGURE1), policy=DispatchPolicy(admission="audit")
         )
         timings: dict[str, float] = {}
-        dispatcher.check_document(parse_xml("<r><a>text</a></r>"), timings=timings)
-        assert set(timings) == {"admission", "decide", "verdict"}
+        dispatcher.check_text("<r><a>text</a></r>", timings=timings)
+        # The fused route builds no tree, so there is no parse step.
+        assert set(timings) == {"admission", "verdict"}
         assert all(value >= 0.0 for value in timings.values())
+
+    def test_tree_routes_time_their_parse(self):
+        schema = BackendDispatcher(parse_dtd(FIGURE1)).schema
+        timings: dict[str, float] = {}
+        run_pipeline(schema, "<r><a>text</a></r>", algorithm="machine", timings=timings)
+        assert set(timings) == {"parse", "verdict"}
+
+    def test_reference_parser_keeps_parse_then_check(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARSER", "reference")
+        dispatcher = BackendDispatcher(
+            parse_dtd(FIGURE1), policy=DispatchPolicy(admission="audit")
+        )
+        timings: dict[str, float] = {}
+        outcome, _cached = dispatcher.check_text("<r><zz/></r>", timings=timings)
+        assert set(timings) == {"parse", "admission", "verdict"}
+        assert outcome.decision.algorithm == "kernel"
+        assert outcome.decision.admission == "reject"
+        assert not outcome.verdict.potentially_valid
 
     def test_admission_policy_validation(self):
         with pytest.raises(ValueError):
             DispatchPolicy(admission="sometimes")
+
+    def test_malformed_text_raises_like_the_parser(self):
+        from repro.errors import XmlSyntaxError
+
+        dispatcher = BackendDispatcher(
+            parse_dtd(FIGURE1), policy=DispatchPolicy(admission="on")
+        )
+        with pytest.raises(XmlSyntaxError) as fused:
+            dispatcher.check_text("<r><a></r>")
+        with pytest.raises(XmlSyntaxError) as parsed:
+            parse_xml("<r><a></r>")
+        assert str(fused.value) == str(parsed.value)

@@ -126,9 +126,9 @@ class TestBackendsDocCoverage:
             )
 
     def test_default_exact_backend_is_documented(self):
-        from repro.service.dispatch import DEFAULT_POLICY
+        from repro.service.pipeline import AUTO_BACKEND
 
-        assert f'`"{DEFAULT_POLICY.exact_backend}"` by default' in (
+        assert f"`auto` serves every document on `{AUTO_BACKEND}`" in (
             self.backends_md()
         )
 
@@ -252,3 +252,27 @@ class TestOperationsDocAccuracy:
         }
         unknown = serve_flags - known
         assert not unknown, f"docs use unknown serve flag(s): {unknown}"
+
+
+class TestCitedDocsExist:
+    """Every ``*.md`` file the code, tests or benchmarks cite must exist.
+
+    A bare name resolves at the repository root or under ``docs/``; a
+    name with a directory resolves from the root.
+    """
+
+    def test_every_cited_markdown_file_exists(self):
+        root = DOCS.parent
+        cited: dict[str, set[str]] = {}
+        for tree in ("src", "tests", "benchmarks"):
+            for path in (root / tree).rglob("*.py"):
+                for name in re.findall(r"[A-Za-z0-9_./-]+\.md\b", path.read_text()):
+                    cited.setdefault(name, set()).add(str(path.relative_to(root)))
+        assert "EXPERIMENTS.md" in cited
+        missing = {
+            name: sorted(sources)
+            for name, sources in cited.items()
+            if not (root / name).is_file() and not (DOCS / name).is_file()
+        }
+        assert not missing, f"cited markdown file(s) do not exist: {missing}"
+

@@ -17,6 +17,7 @@ from itertools import product
 
 import pytest
 
+import corpusgen
 from repro.core.dag import build_dag
 from repro.core.kernel import (
     IMPLEMENTATION,
@@ -36,6 +37,7 @@ from repro.service.store import decode_artifact, encode_artifact
 from repro.workloads.degrade import degrade
 from repro.workloads.docgen import DocumentGenerator
 from repro.xmlmodel.delta import SIGMA
+from repro.xmlmodel.serialize import to_xml
 
 DIFFERENTIAL_DTDS = (
     "paper-figure1",
@@ -177,6 +179,62 @@ def test_kernel_machine_earley_agree_on_documents(name):
                 checker.is_potentially_valid(variant) for checker in checkers
             ]
             assert verdicts[0] == verdicts[1] == verdicts[2], (name, index)
+
+
+class TestDenseParentMasks:
+    """GSS parent sets are bitmasks over node ids (bit 0 = the bottom).
+
+    ``xhtml-basic`` is the dense case: every inline element embeds every
+    other, so a general round merges hundreds of parent contexts.  Long
+    contents push node ids — and so parent masks — across many machine
+    words.
+    """
+
+    def test_xhtml_basic_documents_match_the_machine(self):
+        dtd = catalog.xhtml_basic()
+        schema = compile_schema(dtd)
+        kernel = schema.checker("kernel")
+        machine = schema.checker("machine")
+        rng = random.Random(2006)
+        checked = blocked = 0
+        for shape in sorted(corpusgen.SHAPES):
+            corpus = corpusgen.mixed_corpus(
+                dtd, 8, seed=2006, corrupt_fraction=0.5, shape=shape
+            )
+            for document, _provenance in corpus:
+                degraded, _count = degrade(document, rng, fraction=0.5)
+                for variant in (document, degraded):
+                    fused = kernel.check_text(to_xml(variant))
+                    exact = machine.check_document(variant)
+                    assert fused == exact, (shape, to_xml(variant))
+                    checked += 1
+                    blocked += not exact.potentially_valid
+        assert checked == 48 and blocked > 0
+
+    def test_long_content_spans_many_mask_words(self):
+        dtd = catalog.xhtml_basic()
+        tables = _tables(dtd)
+        sid = tables.sid.get
+        for seed in range(3):
+            rng = random.Random(seed)
+            content: list[str] = []
+            while len(content) < 100:
+                token = rng.choice(["li", "td", "tr", "b", "p", SIGMA])
+                if token == SIGMA and content and content[-1] == SIGMA:
+                    continue
+                content.append(token)
+            kernel = KernelMachine(tables, "body")
+            for length, token in enumerate(content, start=1):
+                assert kernel.step(sid(token))
+                if length in (10, 50, 100):
+                    exact = PVMachine.for_dtd(dtd, "body").recognize(content[:length])
+                    assert kernel.accepts_now() == exact, (seed, length)
+            # Past 1,000 nodes a parent mask is dozens of machine words.
+            assert kernel.allocated_nodes > 1000
+            # <title> only ever occurs under <head>: no insertion places it.
+            rejected = content + ["title"]
+            assert not KernelMachine(tables, "body").recognize(rejected)
+            assert not PVMachine.for_dtd(dtd, "body").recognize(rejected)
 
 
 class TestArtifactTransport:

@@ -375,6 +375,61 @@ class TestServerMetricsOp:
                 yield client
 
 
+class TestFusedRoutePhases:
+    """The phases of the fused route: admission, then verdict; no decide
+    phase, and a document tree parse only where a tree is built."""
+
+    @staticmethod
+    def observed(snapshot, name, **labels):
+        return sum(
+            entry["count"]
+            for entry in histogram_entries(snapshot, name)
+            if all(entry["labels"].get(k) == v for k, v in labels.items())
+        )
+
+    def test_auto_builds_no_tree(self, tmp_path):
+        from repro.server.client import ValidationClient
+
+        with ServerThread(
+            unix_path=str(tmp_path / "pv.sock"), admission="audit"
+        ) as handle:
+            with ValidationClient.connect_unix(handle.unix_path) as client:
+                client.check(DTD, DOC)
+                client.check_batch(DTD, [DOC, "<doc><para>q</para></doc>"])
+                snapshot = client.metrics()["metrics"]
+                assert self.observed(snapshot, "repro_parse_seconds") == 0
+                for phase in ("admission", "verdict"):
+                    assert self.observed(
+                        snapshot, "repro_phase_seconds", phase=phase
+                    ) == 3
+                assert self.observed(
+                    snapshot, "repro_phase_seconds", phase="decide"
+                ) == 0
+                assert counter_value(
+                    snapshot, "repro_dispatch_total", backend="kernel"
+                ) == 3
+                assert counter_value(
+                    snapshot, "repro_dispatch_total", backend="figure5"
+                ) == 0
+
+                # A named tree backend parses, and only that parse counts.
+                client.check(DTD, DOC, algorithm="figure5")
+                snapshot = client.metrics()["metrics"]
+                assert self.observed(snapshot, "repro_parse_seconds") == 1
+
+    def test_reference_parser_observes_the_parse(self, tmp_path, monkeypatch):
+        from repro.server.client import ValidationClient
+
+        monkeypatch.setenv("REPRO_PARSER", "reference")
+        with ServerThread(unix_path=str(tmp_path / "pv.sock")) as handle:
+            with ValidationClient.connect_unix(handle.unix_path) as client:
+                reply = client.check(DTD, DOC, trace="t1")
+                assert reply["algorithm"] == "kernel"
+                assert "parse_ms" in reply["trace"]["span"]
+                snapshot = client.metrics()["metrics"]
+                assert self.observed(snapshot, "repro_parse_seconds") == 1
+
+
 class TestServerKnobs:
     def test_hot_limit_bounds_the_stats_hot_list_and_is_reported(
         self, tmp_path

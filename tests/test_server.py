@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro.core.coarse import decode_coarse
+from repro.obs.metrics import counter_value
 from repro.server import protocol
 from repro.server.client import ServerError, ValidationClient
 from repro.server.protocol import ProtocolError, decode_request
@@ -163,8 +164,25 @@ class TestServerRoundTrip:
 
     def test_auto_dispatch_reports_reason(self, client):
         reply = client.check(FIGURE1, DOC_OK, algorithm="auto")
-        assert reply["algorithm"] in ("kernel", "machine", "figure5", "earley")
+        assert reply["algorithm"] == "kernel"
         assert reply["dispatch_reason"]
+
+    def test_auto_never_routes_to_figure5(self, client):
+        # Small, shallow documents included: auto is the kernel throughout.
+        for doc in (DOC_OK, DOC_BAD, "<r></r>"):
+            assert client.check(FIGURE1, doc)["algorithm"] == "kernel"
+        snapshot = client.metrics()["metrics"]
+        assert counter_value(snapshot, "repro_dispatch_total", backend="kernel") == 3
+        assert counter_value(snapshot, "repro_dispatch_total", backend="figure5") == 0
+
+    def test_named_requests_skip_dispatch_reason(self, client):
+        reply = client.check(FIGURE1, DOC_OK, algorithm="figure5")
+        assert reply["algorithm"] == "figure5"
+        assert "dispatch_reason" not in reply
+
+    def test_tcp_client_disables_nagle(self, client):
+        # Pipelined check-batch windows stall on delayed ACKs otherwise.
+        assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
     def test_id_is_echoed(self, client):
         assert client.check(FIGURE1, DOC_OK, id="req-1")["id"] == "req-1"
@@ -723,15 +741,16 @@ class TestInflightGauge:
         import threading
         import time
 
+        from repro.server import server as server_module
+
         release = threading.Event()
-        server = server_handle.server
-        original = server._inline_check
+        original = server_module._check_fields
 
-        def slow_check(schema, doc_text, algorithm):
+        def slow_check(*args):
             release.wait(timeout=10)
-            return original(schema, doc_text, algorithm)
+            return original(*args)
 
-        server._inline_check = slow_check
+        server_module._check_fields = slow_check
         try:
             with ValidationClient.connect(server_handle.tcp_address) as busy:
                 busy.send({"op": "check", "dtd": FIGURE1, "doc": DOC_OK})
@@ -750,7 +769,7 @@ class TestInflightGauge:
                     assert busy.recv()["potentially_valid"] is True
                     assert observer.stats()["server"]["inflight"] == 0
         finally:
-            server._inline_check = original
+            server_module._check_fields = original
             release.set()
 
 
@@ -884,3 +903,11 @@ class TestCoarseOp:
         assert len(replies) == 1
         blob = base64.b64decode(trailer["coarse"].encode("ascii"))
         assert decode_coarse(blob) is not None
+
+
+def test_serve_holds_freed_heap_on_glibc():
+    import platform
+
+    from repro.cli import _hold_freed_heap
+
+    assert _hold_freed_heap() is (platform.libc_ver()[0] == "glibc")
